@@ -5,31 +5,21 @@ killed mid-epoch (the 2-hour-walltime kills of the paper's Figure 3, a node
 failure, an OOM) lost *all* of its lineage.  The journal closes that hole:
 each logging call (params, metrics, artifacts, epoch boundaries, lifecycle
 events) is appended to ``journal.wal`` in the run directory as a
-length-prefixed, checksummed JSON record and flushed at a configurable
-cadence.  After a crash, :mod:`repro.core.recover` replays the journal into
-a valid (partial) PROV document.
-
-Record wire format — one record per line::
-
-    <length:08x> <crc32:08x> <payload-json>\n
-
-``length`` is the byte length of the UTF-8 payload and ``crc32`` its
-checksum, so a reader detects torn tails and bit corruption record-by-record
-and can always recover every intact record (skip-and-report, never crash).
-A clean ``end_run`` compacts the journal away: the final PROV-JSON document
-*is* the compacted form.
+length-prefixed, checksummed JSON record (the :mod:`repro.wal` format)
+and flushed at a configurable cadence.  After a crash,
+:mod:`repro.core.recover` replays the journal into a valid (partial) PROV
+document; torn or corrupt records are skipped and reported.  A clean
+``end_run`` compacts the journal away: the final PROV-JSON document *is*
+the compacted form.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import zlib
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterator, Mapping, Optional, Union
 
 from repro.errors import JournalError
+from repro.wal import WalScan, WriteAheadLog, scan
 
 PathLike = Union[str, Path]
 
@@ -65,43 +55,6 @@ def to_jsonable(value: Any) -> Any:
     return str(value)
 
 
-def encode_record(payload: Mapping[str, Any]) -> bytes:
-    """Serialize one journal record into its wire form."""
-    try:
-        body = json.dumps(payload, separators=(",", ":"), allow_nan=True)
-    except (TypeError, ValueError) as exc:
-        raise JournalError(f"journal payload is not JSON-serializable: {exc}") from exc
-    raw = body.encode("utf-8")
-    return b"%08x %08x " % (len(raw), zlib.crc32(raw)) + raw + b"\n"
-
-
-def decode_record(line: bytes) -> Dict[str, Any]:
-    """Parse and verify one wire-format line; raises :class:`JournalError`."""
-    line = line.rstrip(b"\n")
-    parts = line.split(b" ", 2)
-    if len(parts) != 3:
-        raise JournalError("malformed journal line (missing prefix fields)")
-    try:
-        length = int(parts[0], 16)
-        crc = int(parts[1], 16)
-    except ValueError as exc:
-        raise JournalError(f"malformed journal length/crc prefix: {exc}") from exc
-    raw = parts[2]
-    if len(raw) != length:
-        raise JournalError(
-            f"journal record truncated: expected {length} bytes, got {len(raw)}"
-        )
-    if zlib.crc32(raw) != crc:
-        raise JournalError("journal record failed its crc32 checksum")
-    try:
-        payload = json.loads(raw.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise JournalError(f"journal record payload is not JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "k" not in payload:
-        raise JournalError("journal record payload missing its kind ('k')")
-    return payload
-
-
 class RunJournal:
     """Append-only, checksummed event log for one run.
 
@@ -122,42 +75,27 @@ class RunJournal:
             raise JournalError(f"flush_every must be >= 1, got {flush_every}")
         self.path = Path(path)
         self.flush_every = int(flush_every)
-        self.fsync = bool(fsync)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("ab")  # lint: disable=SL201 -- the append-only WAL is itself the crash-safety primitive; atomic rewrite would defeat it
-        self._unflushed = 0
+        self._wal = WriteAheadLog(self.path, fsync=fsync)
         self._appended = 0
 
     # ------------------------------------------------------------------
     def append(self, kind: str, payload: Optional[Mapping[str, Any]] = None) -> None:
         """Append one event record (``kind`` plus payload fields)."""
-        if self._fh is None:
-            raise JournalError(f"journal {self.path} is closed")
         record: Dict[str, Any] = {"k": kind}
         if payload:
             record.update(payload)
-        self._fh.write(encode_record(record))
+        self._wal.append(record, sync=False)
         self._appended += 1
-        self._unflushed += 1
-        if self._unflushed >= self.flush_every:
+        if self._wal.pending >= self.flush_every:
             self.flush()
 
     def flush(self) -> None:
         """Push buffered records to disk (fsync unless disabled)."""
-        if self._fh is None or self._unflushed == 0:
-            return
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
-        self._unflushed = 0
+        self._wal.sync()
 
     def close(self) -> None:
         """Flush and close; further appends raise."""
-        if self._fh is None:
-            return
-        self.flush()
-        self._fh.close()
-        self._fh = None
+        self._wal.close()
 
     def compact(self) -> None:
         """Remove the journal file (the final PROV document supersedes it)."""
@@ -170,7 +108,7 @@ class RunJournal:
     @property
     def closed(self) -> bool:
         """Whether the journal no longer accepts appends."""
-        return self._fh is None
+        return self._wal.closed
 
     @property
     def record_count(self) -> int:
@@ -192,37 +130,7 @@ class RunJournal:
 # reading
 # ---------------------------------------------------------------------------
 
-@dataclass
-class JournalReadResult:
-    """Outcome of scanning a journal file.
-
-    ``records`` holds every record that passed its length/checksum
-    verification, in append order; ``bad_records`` counts lines that did
-    not (torn tail after a crash, bit corruption); ``issues`` describes
-    them.  A non-empty ``bad_records`` never prevents recovery of the
-    intact prefix/suffix — skip-and-report, not crash.
-    """
-
-    path: Path
-    records: List[Dict[str, Any]] = field(default_factory=list)
-    bad_records: int = 0
-    issues: List[str] = field(default_factory=list)
-
-    @property
-    def is_clean(self) -> bool:
-        """True when every line verified."""
-        return self.bad_records == 0
-
-    def kinds(self) -> List[str]:
-        """Event kinds in append order (debugging/summary helper)."""
-        return [r["k"] for r in self.records]
-
-    def has_kind(self, kind: str) -> bool:
-        """Whether any record of *kind* was journaled."""
-        return any(r["k"] == kind for r in self.records)
-
-
-def read_journal(path: PathLike) -> JournalReadResult:
+def read_journal(path: PathLike) -> WalScan:
     """Scan a journal file, validating every record.
 
     Corrupt or truncated lines are skipped and reported in the result —
@@ -233,17 +141,7 @@ def read_journal(path: PathLike) -> JournalReadResult:
         path = journal_path_for(path)
     if not path.is_file():
         raise JournalError(f"journal not found: {path}")
-    result = JournalReadResult(path=path)
-    with path.open("rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                result.records.append(decode_record(line))
-            except JournalError as exc:
-                result.bad_records += 1
-                result.issues.append(f"line {lineno}: {exc}")
-    return result
+    return scan(path)
 
 
 def iter_journal(path: PathLike) -> Iterator[Dict[str, Any]]:

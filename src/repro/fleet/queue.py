@@ -2,13 +2,12 @@
 
 The queue is the fleet's source of truth.  Every lifecycle transition —
 ``submit``, ``lease``, ``renew``, ``complete``, ``fail``, ``expire``,
-``dead_letter``, ``requeue``, ``purge`` — is appended to ``queue.wal``
-in the crc-checked wire format of the core write-ahead journal
-(:mod:`repro.core.journal`) and fsynced **before** the call returns, so
-an acknowledged submission is durable by the time the caller sees it.
-On restart the WAL is replayed into the pending/leased/done/dead-letter
-sets a crashed predecessor left behind; torn or corrupt tail records
-are skipped exactly like the core journal's reader — never fatal.
+``dead_letter``, ``requeue``, ``purge`` — is appended to ``queue.wal``,
+a crc-checked write-ahead log (:mod:`repro.wal`), and fsynced **before**
+the call returns, so an acknowledged submission is durable by the time
+the caller sees it.  On restart the WAL is replayed into the
+pending/leased/done/dead-letter sets a crashed predecessor left behind;
+torn or corrupt tail records are skipped — never fatal.
 
 Replay and live appends fold records through the *same* function
 (:func:`_fold`), which is what makes replay idempotent by construction:
@@ -30,7 +29,6 @@ its population, not its history.
 
 from __future__ import annotations
 
-import os
 import threading
 import uuid
 from dataclasses import dataclass, field, replace
@@ -50,8 +48,7 @@ from typing import (
 
 import time as _time
 
-from repro.atomicio import atomic_write_bytes
-from repro.core.journal import JournalError, decode_record, encode_record, to_jsonable
+from repro.core.journal import to_jsonable
 from repro.errors import (
     FleetError,
     JobNotFoundError,
@@ -60,6 +57,7 @@ from repro.errors import (
 )
 from repro.fleet.scheduler import AdmissionControl, FairShareScheduler
 from repro.retry import ExponentialBackoff, seed_from_name
+from repro.wal import WriteAheadLog, scan
 
 __all__ = [
     "FLEET_QUEUE_NAME",
@@ -358,25 +356,13 @@ def replay_queue(path: Union[str, Path]) -> Tuple[_QueueState, int]:
     """Fold a queue WAL into ``(state, bad record count)``.
 
     Unreadable lines (torn tail after SIGKILL, bit rot) are counted and
-    skipped; every intact record is recovered, mirroring the core
-    journal's reader.
+    skipped; every intact record is recovered.
     """
-    path = Path(path)
+    wal = scan(path)
     state = _QueueState()
-    bad = 0
-    if not path.is_file():
-        return state, 0
-    with path.open("rb") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            try:
-                record = decode_record(line)
-            except JournalError:
-                bad += 1
-                continue
-            _fold(state, record)
-    return state, bad
+    for record in wal.records:
+        _fold(state, record)
+    return state, wal.bad_records
 
 
 class FleetQueue:
@@ -418,13 +404,12 @@ class FleetQueue:
         self.retry_backoff = retry_backoff or ExponentialBackoff(
             base_s=0.5, factor=2.0, max_s=30.0, jitter=0.1)
         self.clock = clock
-        self.fsync = bool(fsync)
         self.on_event = on_event
         self._lock = threading.RLock()
         self._state, self.bad_records = replay_queue(self.path)
         #: structurally valid records replayed at startup (chaos proof)
         self.replayed_records = self._state.records
-        self._fh = self.path.open("ab")  # lint: disable=SL201 -- the append-only queue WAL is itself the durability primitive; atomic rewrite would defeat it
+        self._wal = WriteAheadLog(self.path, fsync=fsync)
         if self.bad_records:
             # rewrite the file clean now, but keep the count: stats must
             # still report that this startup found damage
@@ -434,12 +419,9 @@ class FleetQueue:
 
     # -- write path ----------------------------------------------------
     def _append_locked(self, record: Dict[str, Any]) -> Optional[Job]:
-        if self._fh is None:
+        if self._wal.closed:
             raise FleetError(f"fleet queue {self.path} is closed")
-        self._fh.write(encode_record(record))
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
+        self._wal.append(record)
         job_id = _fold(self._state, record)
         job = self._state.jobs.get(job_id) if job_id else None
         return job.copy() if job is not None else None
@@ -785,28 +767,18 @@ class FleetQueue:
             self._compact_locked()
 
     def _compact_locked(self) -> None:
-        if getattr(self, "_fh", None) is not None:
-            self._fh.close()
-        body = b"".join(
-            encode_record({"k": "snapshot", "job": job.job_id,
-                           **to_jsonable(job.snapshot_payload())})
+        self._wal.rewrite(
+            {"k": "snapshot", "job": job.job_id,
+             **to_jsonable(job.snapshot_payload())}
             for job in self._state.jobs.values()
         )
-        atomic_write_bytes(self.path, body, fsync=self.fsync)
-        self._fh = self.path.open("ab")  # lint: disable=SL201 -- reopening the append-only queue WAL after atomic compaction
         self._state.records = len(self._state.jobs)
         self.bad_records = 0
 
     def close(self) -> None:
         """Flush and close; further appends raise. Idempotent."""
         with self._lock:
-            if self._fh is None:
-                return
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
-            self._fh.close()
-            self._fh = None
+            self._wal.close()
 
     def __enter__(self) -> "FleetQueue":
         return self
@@ -815,6 +787,6 @@ class FleetQueue:
         self.close()
 
     def __repr__(self) -> str:
-        state = "closed" if getattr(self, "_fh", None) is None else "open"
+        state = "closed" if self._wal.closed else "open"
         return (f"FleetQueue({str(self.path)!r}, {state}, "
                 f"jobs={len(self._state.jobs)})")

@@ -4,11 +4,10 @@ The in-memory :class:`~repro.workflow.dag.Workflow` executor loses every
 completed task when the process dies — unacceptable under the walltime
 caps and node failures the paper's Frontier study runs under.  This module
 gives a workflow run a *state directory* holding ``workflow.wal``, an
-append-only, crc-checked write-ahead log (same wire format as the run-level
-:mod:`repro.core.journal`): every task attempt, heartbeat, terminal result
-and lifecycle boundary is flushed to disk before execution proceeds, so a
-killed run can be resumed with no SUCCEEDED task re-executed and its cached
-outputs replayed bit-identically.
+append-only, crc-checked write-ahead log (:mod:`repro.wal`): every task
+attempt, heartbeat, terminal result and lifecycle boundary is flushed to
+disk before execution proceeds, so a killed run can be resumed with no
+SUCCEEDED task re-executed and its cached outputs replayed bit-identically.
 
 Record kinds (all carry a ``t`` timestamp from the run's injected clock):
 
@@ -45,8 +44,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
-from repro.core.journal import decode_record, encode_record, to_jsonable
+from repro.core.journal import to_jsonable
 from repro.errors import JournalError, WorkflowJournalError
+from repro.wal import WriteAheadLog, scan
 
 PathLike = Union[str, Path]
 
@@ -95,10 +95,8 @@ class WorkflowJournal:
         on_record: Optional[RecordHook] = None,
     ) -> None:
         self.path = Path(path)
-        self.fsync = bool(fsync)
         self.on_record = on_record
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("ab")  # lint: disable=SL201 -- the append-only WAL is itself the crash-safety primitive; atomic rewrite would defeat it
+        self._wal = WriteAheadLog(self.path, fsync=fsync)
         self._lock = threading.Lock()
         self._count = 0
         self._dead = False
@@ -108,18 +106,13 @@ class WorkflowJournal:
         with self._lock:
             if self._dead:
                 return  # the simulated kill already "ended" this process
-            if self._fh is None:
-                raise WorkflowJournalError(f"journal {self.path} is closed")
             record: Dict[str, Any] = {"k": kind}
             if payload:
                 record.update(payload)
             try:
-                self._fh.write(encode_record(record))
+                self._wal.append(record)
             except JournalError as exc:
                 raise WorkflowJournalError(str(exc)) from exc
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
             index = self._count
             self._count += 1
             if self.on_record is not None:
@@ -132,9 +125,7 @@ class WorkflowJournal:
     def close(self) -> None:
         """Close the journal; further appends raise (dead journals no-op)."""
         with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+            self._wal.close()
 
     @property
     def record_count(self) -> int:
@@ -319,58 +310,51 @@ def scan_workflow_journal(path: PathLike) -> WorkflowHistory:
     if not path.is_file():
         raise WorkflowJournalError(f"workflow journal not found: {path}")
 
-    history = WorkflowHistory(path=path, attempts={})
+    wal = scan(path)
+    history = WorkflowHistory(path=path, attempts={},
+                              bad_records=wal.bad_records, issues=wal.issues,
+                              n_records=len(wal.records))
     open_by_task: Dict[str, AttemptRecord] = {}
-    with path.open("rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = decode_record(line)
-            except JournalError as exc:
-                history.bad_records += 1
-                history.issues.append(f"line {lineno}: {exc}")
-                continue
-            history.n_records += 1
-            kind = record.get("k")
-            if kind == "wf_start":
-                history.workflow_name = record.get("workflow")
-                history.run_id = record.get("run_id")
-                history.task_specs = record.get("tasks", {}) or {}
-                history.pid = record.get("pid")
-                history.started_at = record.get("t")
-                history.segments = 1
-                history.ended = False
-                open_by_task.clear()
-            elif kind == "wf_resume":
-                history.segments += 1
-                history.pid = record.get("pid", history.pid)
-                history.ended = False
-                open_by_task.clear()
-            elif kind == "attempt_start":
-                attempt = AttemptRecord(
-                    task=str(record.get("task")),
-                    number=int(record.get("attempt", 0)),
-                    segment=max(history.segments - 1, 0),
-                    start_time=float(record.get("t", 0.0)),
-                )
-                history.attempts.setdefault(attempt.task, []).append(attempt)
-                open_by_task[attempt.task] = attempt
-            elif kind == "heartbeat":
-                attempt = open_by_task.get(str(record.get("task")))
-                if attempt is not None:
-                    attempt.heartbeats.append(float(record.get("t", 0.0)))
-            elif kind == "attempt_end":
-                attempt = open_by_task.pop(str(record.get("task")), None)
-                if attempt is not None:
-                    attempt.end_time = float(record.get("t", 0.0))
-                    attempt.outcome = record.get("outcome")
-                    attempt.error = record.get("error")
-            elif kind == "task_result":
-                history.terminal[str(record.get("task"))] = record
-            elif kind == "wf_end":
-                history.ended = True
-                history.end_payload = record
+    for record in wal.records:
+        kind = record.get("k")
+        if kind == "wf_start":
+            history.workflow_name = record.get("workflow")
+            history.run_id = record.get("run_id")
+            history.task_specs = record.get("tasks", {}) or {}
+            history.pid = record.get("pid")
+            history.started_at = record.get("t")
+            history.segments = 1
+            history.ended = False
+            open_by_task.clear()
+        elif kind == "wf_resume":
+            history.segments += 1
+            history.pid = record.get("pid", history.pid)
+            history.ended = False
+            open_by_task.clear()
+        elif kind == "attempt_start":
+            attempt = AttemptRecord(
+                task=str(record.get("task")),
+                number=int(record.get("attempt", 0)),
+                segment=max(history.segments - 1, 0),
+                start_time=float(record.get("t", 0.0)),
+            )
+            history.attempts.setdefault(attempt.task, []).append(attempt)
+            open_by_task[attempt.task] = attempt
+        elif kind == "heartbeat":
+            attempt = open_by_task.get(str(record.get("task")))
+            if attempt is not None:
+                attempt.heartbeats.append(float(record.get("t", 0.0)))
+        elif kind == "attempt_end":
+            attempt = open_by_task.pop(str(record.get("task")), None)
+            if attempt is not None:
+                attempt.end_time = float(record.get("t", 0.0))
+                attempt.outcome = record.get("outcome")
+                attempt.error = record.get("error")
+        elif kind == "task_result":
+            history.terminal[str(record.get("task"))] = record
+        elif kind == "wf_end":
+            history.ended = True
+            history.end_payload = record
     return history
 
 

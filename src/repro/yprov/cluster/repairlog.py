@@ -8,9 +8,8 @@ process's uptime: a router crash strands acked documents below full
 replication with nothing left to notice but an eventual offline lint.
 
 :class:`RepairLog` fixes that by journaling every queue transition to a
-``repairs.wal`` under the cluster state directory, reusing the
-crc-checked wire format of the core write-ahead journal
-(:mod:`repro.core.journal`), exactly as the workflow journal does.  The
+``repairs.wal`` under the cluster state directory, a crc-checked
+write-ahead log (:mod:`repro.wal`) like every other journal.  The
 router appends the *enqueue* record synchronously — before the write is
 acked to the client — so a hinted-handoff obligation is durable by the
 time the caller believes the document is stored.  On construction the
@@ -33,21 +32,18 @@ Replay folds the records in order into the surviving pending list
 the settled records outnumber the pending ones by a wide margin the
 whole file is atomically rewritten to just the pending entries, so a
 long-lived router's journal stays proportional to its backlog, not its
-history.  Corrupt or torn tail records are skipped exactly like the
-core journal's reader — a crash mid-append never poisons the intact
-prefix.
+history.  Corrupt or torn tail records are skipped by the log's reader
+— a crash mid-append never poisons the intact prefix.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.atomicio import atomic_write_bytes
-from repro.core.journal import decode_record, encode_record
-from repro.errors import ClusterError, JournalError
+from repro.errors import ClusterError
+from repro.wal import WriteAheadLog, scan
 
 __all__ = ["RepairLog", "replay_pending", "REPAIR_LOG_NAME"]
 
@@ -63,37 +59,27 @@ def replay_pending(path: Union[str, Path]) -> Tuple[List[Tuple[str, str]], int]:
 
     Pending pairs come back in first-enqueue order.  Unreadable lines are
     counted and skipped (torn tail after SIGKILL, bit rot) — replay always
-    recovers every intact record, mirroring the core journal's reader.
+    recovers every intact record.
     """
-    path = Path(path)
+    wal = scan(path)
     pending: Dict[Tuple[str, str], None] = {}
-    bad = 0
-    if not path.is_file():
-        return [], 0
-    with path.open("rb") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            try:
-                record = decode_record(line)
-            except JournalError:
-                bad += 1
-                continue
-            kind = record.get("k")
-            doc = record.get("doc")
-            shard = record.get("shard")
-            if kind == "enqueue" and doc and shard:
-                pending.setdefault((str(doc), str(shard)), None)
-            elif kind == "done" and doc and shard:
-                pending.pop((str(doc), str(shard)), None)
-            elif kind == "drop-doc" and doc:
-                for pair in [p for p in pending if p[0] == doc]:
-                    del pending[pair]
-            elif kind == "drop-shard" and shard:
-                for pair in [p for p in pending if p[1] == shard]:
-                    del pending[pair]
-            else:
-                bad += 1  # structurally valid line, unknown/incomplete kind
+    bad = wal.bad_records
+    for record in wal.records:
+        kind = record.get("k")
+        doc = record.get("doc")
+        shard = record.get("shard")
+        if kind == "enqueue" and doc and shard:
+            pending.setdefault((str(doc), str(shard)), None)
+        elif kind == "done" and doc and shard:
+            pending.pop((str(doc), str(shard)), None)
+        elif kind == "drop-doc" and doc:
+            for pair in [p for p in pending if p[0] == doc]:
+                del pending[pair]
+        elif kind == "drop-shard" and shard:
+            for pair in [p for p in pending if p[1] == shard]:
+                del pending[pair]
+        else:
+            bad += 1  # structurally valid line, unknown/incomplete kind
     return list(pending), bad
 
 
@@ -109,12 +95,10 @@ class RepairLog:
 
     def __init__(self, path: Union[str, Path], fsync: bool = True) -> None:
         self.path = Path(path)
-        self.fsync = bool(fsync)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._pending, self.bad_records = replay_pending(self.path)
         self._settled_since_compact = 0
-        self._fh = self.path.open("ab")  # lint: disable=SL201 -- the append-only repair WAL is itself the durability primitive; atomic rewrite would defeat it
+        self._wal = WriteAheadLog(self.path, fsync=fsync)
         if self.bad_records:
             # a torn tail would otherwise corrupt-check every future
             # replay; rewriting now leaves a clean, minimal journal
@@ -155,12 +139,9 @@ class RepairLog:
         if shard is not None:
             record["shard"] = shard
         with self._lock:
-            if self._fh is None:
+            if self._wal.closed:
                 raise ClusterError(f"repair log {self.path} is closed")
-            self._fh.write(encode_record(record))
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
+            self._wal.append(record)
             self._fold_locked(kind, doc, shard)
             if self._settled_since_compact >= max(
                 _COMPACT_MIN, 4 * len(self._pending)
@@ -192,32 +173,18 @@ class RepairLog:
             self._compact_locked()
 
     def _compact_locked(self) -> None:
-        if self._getattr_fh() is not None:
-            self._fh.close()
-        body = b"".join(
-            encode_record({"k": "enqueue", "doc": doc, "shard": shard})
+        self._wal.rewrite(
+            {"k": "enqueue", "doc": doc, "shard": shard}
             for doc, shard in self._pending
         )
-        atomic_write_bytes(self.path, body, fsync=self.fsync)
-        self._fh = self.path.open("ab")  # lint: disable=SL201 -- reopening the append-only repair WAL after atomic compaction
         self._settled_since_compact = 0
         self.bad_records = 0
-
-    def _getattr_fh(self):
-        """The open handle, or ``None`` during construction's first compact."""
-        return getattr(self, "_fh", None)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Flush and close; further appends raise. Idempotent."""
         with self._lock:
-            if self._fh is None:
-                return
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
-            self._fh.close()
-            self._fh = None
+            self._wal.close()
 
     def __enter__(self) -> "RepairLog":
         return self
@@ -226,7 +193,7 @@ class RepairLog:
         self.close()
 
     def __repr__(self) -> str:
-        state = "closed" if self._getattr_fh() is None else "open"
+        state = "closed" if self._wal.closed else "open"
         return (
             f"RepairLog({str(self.path)!r}, {state}, "
             f"pending={len(self._pending)})"

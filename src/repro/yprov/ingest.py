@@ -4,7 +4,7 @@ The single-document path (``PUT /documents/<id>``) pays one HTTP round
 trip and one durability point per document — correct, and two orders of
 magnitude too slow when thousands of ranks publish provenance per epoch
 (the asynchronous, batched capture regime of Souza et al.).  This module
-promotes the WAL wire format of :mod:`repro.core.journal` to the
+promotes the WAL wire format of :mod:`repro.wal` to the
 network:
 
 **Batch codec.**  A batch is a header record followed by one record per
@@ -43,7 +43,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.journal import decode_record, encode_record
+from repro.wal import decode_record, encode_record
 from repro.errors import (
     CircuitOpenError,
     IngestError,

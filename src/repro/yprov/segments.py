@@ -7,8 +7,8 @@ and exactly the wrong one for the paper's scale regime, where thousands
 of ranks publish provenance per epoch.  This module provides the
 high-throughput alternative (``storage="segments"``):
 
-* **Writes** append to a write-ahead log in the same length-prefixed,
-  crc-per-record wire format as :mod:`repro.core.journal` — one
+* **Writes** append to a write-ahead log (:mod:`repro.wal`, the
+  length-prefixed, crc-per-record format every journal uses) — one
   sequential write per document, one fsync per *batch*.
 * **The memtable** keeps the text of every document whose latest version
   lives in the active WAL, so hot reads never touch disk.
@@ -58,8 +58,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.atomicio import fsync_dir
-from repro.core.journal import decode_record, encode_record
 from repro.errors import JournalError, SegmentError
+from repro.wal import WriteAheadLog, decode_record, encode_record, scan
 
 __all__ = [
     "Segment",
@@ -365,38 +365,26 @@ class StoreScan:
 
 
 def _scan_wal(path: Path) -> Tuple[List[_WalRecord], List[str]]:
-    records: List[_WalRecord] = []
-    issues: List[str] = []
-    offset = 0
     try:
-        fh = path.open("rb")
+        wal = scan(path)
     except OSError as exc:
         return [], [f"{path.name}: unreadable: {exc}"]
-    with fh:
-        for line in fh:
-            length = len(line)
-            if line.strip():
-                try:
-                    payload = decode_record(line)
-                except JournalError as exc:
-                    issues.append(f"{path.name} offset {offset}: {exc}")
-                else:
-                    kind = payload.get("k")
-                    seq = payload.get("seq")
-                    doc_id = payload.get("id")
-                    if (kind in ("put", "del") and isinstance(seq, int)
-                            and isinstance(doc_id, str)):
-                        records.append(_WalRecord(
-                            seq=seq, kind=kind, doc_id=doc_id, path=path,
-                            offset=offset, length=length,
-                            text=payload.get("text"),
-                        ))
-                    else:
-                        issues.append(
-                            f"{path.name} offset {offset}: unknown record "
-                            f"kind {kind!r}"
-                        )
-            offset += length
+    records: List[_WalRecord] = []
+    issues = [f"{path.name} {issue}" for issue in wal.issues]
+    for payload, (offset, length) in zip(wal.records, wal.spans):
+        kind = payload.get("k")
+        seq = payload.get("seq")
+        doc_id = payload.get("id")
+        if (kind in ("put", "del") and isinstance(seq, int)
+                and isinstance(doc_id, str)):
+            records.append(_WalRecord(
+                seq=seq, kind=kind, doc_id=doc_id, path=path,
+                offset=offset, length=length, text=payload.get("text"),
+            ))
+        else:
+            issues.append(
+                f"{path.name} offset {offset}: unknown record kind {kind!r}"
+            )
     return records, issues
 
 
@@ -502,10 +490,7 @@ class SegmentStore:
         self._memtable: Dict[str, str] = {}
         self._live: Dict[str, _Loc] = {}
         self._segment: Optional[Segment] = None
-        self._active_fh: Optional[Any] = None
-        self._active_path: Optional[Path] = None
-        self._active_bytes = 0
-        self._unflushed = 0
+        self._active: Optional[WriteAheadLog] = None
         self._seq = 0
         self._wal_counter = 0
         self._puts = 0
@@ -550,42 +535,27 @@ class SegmentStore:
         self._wal_counter = max(numbers, default=0)
 
     # -- WAL plumbing --------------------------------------------------
-    def _ensure_active(self) -> Any:
-        """The active WAL handle, creating a fresh file lazily.
+    def _append(self, payload: Dict[str, Any], sync: bool) -> Tuple[Path, int, int]:
+        """Append to the active WAL, starting a fresh file lazily.
 
         A new store (or a reopened one) always starts a *new* WAL rather
-        than appending to an old one: the previous file may end in a
-        torn record, and appending after a torn tail would corrupt the
-        next record too.
+        than appending to an old one, so every sealed file is immutable.
         """
-        if self._active_fh is None:
+        if self._active is None:
             self._wal_counter += 1
-            self._active_path = self.root / f"wal-{self._wal_counter:012d}{WAL_SUFFIX}"
-            self._active_fh = self._active_path.open("ab")  # lint: disable=SL201 -- the append-only WAL is the crash-safety primitive; atomic rewrite would defeat it
-            self._active_bytes = 0
-        return self._active_fh
-
-    def _append(self, payload: Dict[str, Any], sync: bool) -> Tuple[Path, int, int]:
-        fh = self._ensure_active()
-        line = encode_record(payload)
-        offset = self._active_bytes
-        fh.write(line)
-        self._active_bytes += len(line)
-        self._unflushed += 1
-        path = self._active_path
-        assert path is not None
+            self._active = WriteAheadLog(
+                self.root / f"wal-{self._wal_counter:012d}{WAL_SUFFIX}",
+                fsync=self.fsync,
+            )
+        offset, length = self._active.append(payload, sync=False)
         if sync:
             self.sync()
-        return path, offset, len(line)
+        return self._active.path, offset, length
 
     def sync(self) -> None:
         """Flush + fsync the active WAL (amortized by batch writers)."""
-        if self._active_fh is None or self._unflushed == 0:
-            return
-        self._active_fh.flush()
-        if self.fsync:
-            os.fsync(self._active_fh.fileno())
-        self._unflushed = 0
+        if self._active is not None:
+            self._active.sync()
 
     def seal(self) -> Optional[Path]:
         """Close the active WAL; the next append starts a new one.
@@ -595,14 +565,11 @@ class SegmentStore:
         through the offset index instead.
         """
         with self._lock:
-            if self._active_fh is None:
+            if self._active is None:
                 return None
-            self.sync()
-            self._active_fh.close()
-            sealed = self._active_path
-            self._active_fh = None
-            self._active_path = None
-            self._active_bytes = 0
+            self._active.close()
+            sealed = self._active.path
+            self._active = None
             self._memtable.clear()
             return sealed
 
@@ -638,7 +605,7 @@ class SegmentStore:
                     and self._puts >= self._kill_after_puts):
                 self.sync()
                 os.kill(os.getpid(), signal.SIGKILL)
-            if self._active_bytes >= self.seal_bytes:
+            if self._active.size >= self.seal_bytes:
                 self.seal()
             return self._seq
 
@@ -674,7 +641,7 @@ class SegmentStore:
                 return text
             if loc.source == "wal":
                 assert loc.path is not None
-                if loc.path == self._active_path:
+                if self._active is not None and loc.path == self._active.path:
                     self.sync()  # the record may still be buffered
                 try:
                     with loc.path.open("rb") as fh:
@@ -713,7 +680,8 @@ class SegmentStore:
 
     def sealed_wal_paths(self) -> List[Path]:
         with self._lock:
-            return [p for p in self.wal_paths() if p != self._active_path]
+            active = self._active.path if self._active is not None else None
+            return [p for p in self.wal_paths() if p != active]
 
     # -- verification / stats -----------------------------------------
     def verify(self) -> Dict[str, Any]:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.journal import encode_record
+from repro.wal import encode_record
 from repro.errors import ClusterError
 from repro.yprov.cluster.repairlog import (
     REPAIR_LOG_NAME,

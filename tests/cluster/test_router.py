@@ -458,7 +458,7 @@ class TestDurableRepairJournal:
 
     def test_enqueue_journaled_before_write_acks(self, persistent):
         """The hinted-handoff entry must be durable by ack time."""
-        from repro.core.journal import decode_record
+        from repro.wal import decode_record
 
         victim = self._strand_repair(persistent, "hinted-doc")
         # inspect the live journal bytes — no close, no flush helpers:
@@ -481,7 +481,7 @@ class TestMembershipFlapping:
 
     def test_flap_keeps_queued_repairs_and_applies_once(self, persistent):
         """alive → suspect → alive mid-sweep: no loss, no double-apply."""
-        from repro.core.journal import decode_record
+        from repro.wal import decode_record
 
         router = persistent.router
         doc_id = "flap-doc"

@@ -1,6 +1,4 @@
-"""Tests for the write-ahead journal (wire format, flushing, corruption)."""
-
-import json
+"""Tests for the run journal (flushing, corruption, torn-tail appends)."""
 
 import numpy as np
 import pytest
@@ -8,48 +6,12 @@ import pytest
 from repro.core.journal import (
     JOURNAL_NAME,
     RunJournal,
-    decode_record,
-    encode_record,
     iter_journal,
     journal_path_for,
     read_journal,
     to_jsonable,
 )
 from repro.errors import JournalError
-
-
-class TestWireFormat:
-    def test_roundtrip(self):
-        payload = {"k": "metric", "n": "loss", "v": 0.5, "t": 123.0}
-        assert decode_record(encode_record(payload)) == payload
-
-    def test_length_prefix_matches_payload(self):
-        line = encode_record({"k": "x"})
-        length = int(line[:8], 16)
-        # "llllllll cccccccc payload\n"
-        assert len(line) == 8 + 1 + 8 + 1 + length + 1
-
-    def test_nan_survives(self):
-        rec = decode_record(encode_record({"k": "metric", "v": float("nan")}))
-        assert rec["v"] != rec["v"]
-
-    def test_corrupt_crc_rejected(self):
-        line = bytearray(encode_record({"k": "param", "n": "lr"}))
-        line[-2] ^= 0xFF  # flip a payload byte; crc now mismatches
-        with pytest.raises(JournalError):
-            decode_record(bytes(line))
-
-    def test_truncated_line_rejected(self):
-        line = encode_record({"k": "param", "n": "lr"})
-        with pytest.raises(JournalError):
-            decode_record(line[: len(line) // 2])
-
-    def test_missing_kind_rejected(self):
-        raw = json.dumps({"n": "lr"}).encode()
-        import zlib
-        line = b"%08x %08x " % (len(raw), zlib.crc32(raw)) + raw + b"\n"
-        with pytest.raises(JournalError):
-            decode_record(line)
 
 
 class TestToJsonable:
@@ -156,6 +118,20 @@ class TestCorruptJournals:
         result = read_journal(path)
         assert result.records == []
         assert result.bad_records == 2
+
+    def test_append_after_torn_tail_survives(self, tmp_path):
+        """Reopening a torn journal must not glue the next record onto the
+        torn bytes: the fsynced record after the tear replays."""
+        path = tmp_path / JOURNAL_NAME
+        with RunJournal(path) as journal:
+            journal.append("metric", {"v": 1})
+            journal.append("metric", {"v": 2})
+        path.write_bytes(path.read_bytes()[:-5])
+        with RunJournal(path) as journal:
+            journal.append("metric", {"v": 3})
+        result = read_journal(path)
+        assert [r["v"] for r in result.records] == [1, 3]
+        assert result.bad_records == 1
 
     def test_missing_journal_raises(self, tmp_path):
         with pytest.raises(JournalError):

@@ -58,8 +58,10 @@ def fork_copy(root, doc_id, text):
 
 
 def main():
+    # absolute, so the manifest's shard roots do not resolve twice
+    # against the manifest's own (relative) directory
     workdir = Path(sys.argv[1] if len(sys.argv) > 1
-                   else tempfile.mkdtemp(prefix="anti-entropy-"))
+                   else tempfile.mkdtemp(prefix="anti-entropy-")).resolve()
     workdir.mkdir(parents=True, exist_ok=True)
     log(f"workdir: {workdir}")
 

@@ -191,8 +191,10 @@ def wait_repaired(router, timeout_s=30.0):
 
 
 def main():
+    # absolute, so the manifest's shard roots do not resolve twice
+    # against the manifest's own (relative) directory
     workdir = Path(sys.argv[1] if len(sys.argv) > 1
-                   else tempfile.mkdtemp(prefix="cluster-chaos-"))
+                   else tempfile.mkdtemp(prefix="cluster-chaos-")).resolve()
     workdir.mkdir(parents=True, exist_ok=True)
     log(f"workdir: {workdir}")
 

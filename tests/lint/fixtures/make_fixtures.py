@@ -231,7 +231,7 @@ def main() -> None:
     # re-written with one document's content hash corrupted — the record
     # bytes, record crcs and footer crc all still verify, so only the
     # index-vs-records cross-check (Segment.verify) can catch it.
-    from repro.core.journal import decode_record, encode_record
+    from repro.wal import decode_record, encode_record
     from repro.yprov.segments import TRAILER_LEN
 
     target = HERE / "pl115_bad_footer"

@@ -100,7 +100,7 @@ class TestEdgeCases:
             decode_batch(frame[:last_line_start])
 
     def test_frame_without_header_rejected(self):
-        from repro.core.journal import encode_record
+        from repro.wal import encode_record
 
         frame = encode_record({"k": "doc", "id": "a", "text": "x"})
         with pytest.raises(IngestError, match="expected 'batch'"):

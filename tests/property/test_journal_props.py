@@ -1,12 +1,9 @@
 """Property tests: journal append → replay reproduces provenance exactly."""
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.experiment import RunExecution, RunStatus
-from repro.core.journal import decode_record, encode_record
 from repro.core.provgen import build_prov_document
 from repro.core.recover import replay_journal
 
@@ -101,26 +98,3 @@ class TestJournalRoundTrip:
             assert len(replayed.artifacts) == len(run.artifacts)
             assert replayed.params.as_dict() == run.params.as_dict()
 
-
-class TestWireFormatProps:
-    @given(payload=st.dictionaries(
-        st.sampled_from(("k", "n", "v", "t", "s")),
-        st.one_of(st.text(max_size=20),
-                  st.floats(allow_nan=False),
-                  st.integers(-2**31, 2**31),
-                  st.none()),
-        min_size=1,
-    ))
-    @settings(max_examples=60, deadline=None)
-    def test_encode_decode_roundtrip(self, payload):
-        payload["k"] = "metric"  # records must carry a kind
-        assert decode_record(encode_record(payload)) == payload
-
-    @given(value=st.floats())
-    @settings(max_examples=40, deadline=None)
-    def test_all_floats_roundtrip(self, value):
-        rec = decode_record(encode_record({"k": "m", "v": value}))
-        if math.isnan(value):
-            assert math.isnan(rec["v"])
-        else:
-            assert rec["v"] == value

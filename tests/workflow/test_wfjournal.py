@@ -131,6 +131,22 @@ class TestTornTails:
         assert h.n_records == full - 1
         assert h.bad_records == 1
 
+    def test_resume_after_torn_tail_keeps_the_resume(self, wal):
+        """Appending after a torn tail must start a fresh line: the
+        resume boundary and its attempt both replay."""
+        with WorkflowJournal(wal, fsync=False) as j:
+            j.append("wf_start", {"workflow": "w", "run_id": "r", "pid": 1,
+                                  "t": 0.0, "tasks": {"a": {"deps": []}}})
+            j.append("attempt_start", {"task": "a", "attempt": 1, "t": 1.0})
+        truncate_journal_tail(wal, 5)
+        with WorkflowJournal(wal, fsync=False) as j:
+            j.append("wf_resume", {"pid": 2, "t": 2.0})
+            j.append("attempt_start", {"task": "a", "attempt": 2, "t": 3.0})
+        h = scan_workflow_journal(wal)
+        assert h.segments == 2 and h.pid == 2
+        assert h.bad_records == 1
+        assert [a.number for a in h.attempts["a"]] == [2]
+
     def test_empty_file_is_unstarted(self, wal):
         wal.write_bytes(b"")
         h = scan_workflow_journal(wal)
